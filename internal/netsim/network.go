@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -544,11 +545,28 @@ func (nw *Network) Multicast(from NodeID, g Group, out Outgoing, copies int) {
 }
 
 // fanEntry is one receiver of a multicast copy, its arrival instant,
-// and the receiver slot's tenancy at send time.
+// the receiver slot's tenancy at send time, and its ordinal among the
+// copy's receivers in membership order (the sort's tie-breaker; it sits
+// in what would otherwise be padding, so an entry stays 24 bytes).
 type fanEntry struct {
 	at  sim.Time
 	to  NodeID
 	gen uint32
+	ord uint32
+}
+
+// sortFanout orders a fan-out train by arrival, same-instant receivers in
+// membership order — the order their delay draws were made in. Entries
+// are appended in membership order with ord = their index, so (at, ord)
+// is a total order and the unstable sort gives exactly the stable sort's
+// result, without its merge passes. Generic, no captures: no allocation.
+func sortFanout(entries []fanEntry) {
+	slices.SortFunc(entries, func(a, b fanEntry) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		return cmp.Compare(a.ord, b.ord)
+	})
 }
 
 // fanout is one multicast copy in flight: a single shared wire-message
@@ -636,26 +654,14 @@ func (nw *Network) multicastCopy(from NodeID, g Group, out Outgoing) {
 			nw.drop(&f.scratch, "lost")
 			continue
 		}
-		f.entries = append(f.entries, fanEntry{at: now + nw.linkDelay(), to: to, gen: nw.Node(to).gen})
+		f.entries = append(f.entries, fanEntry{at: now + nw.linkDelay(), to: to, gen: nw.Node(to).gen,
+			ord: uint32(len(f.entries))})
 	}
 	if len(f.entries) == 0 {
 		nw.releaseFanout(f)
 		return
 	}
-	// Stable by arrival time: same-instant receivers keep membership
-	// order, the order their delay draws were made in. SortStableFunc is
-	// generic (no reflection, no closure captures), so this allocates
-	// nothing.
-	slices.SortStableFunc(f.entries, func(a, b fanEntry) int {
-		switch {
-		case a.at < b.at:
-			return -1
-		case a.at > b.at:
-			return 1
-		default:
-			return 0
-		}
-	})
+	sortFanout(f.entries)
 	nw.k.AtArg(f.entries[0].at, deliverFanout, f)
 }
 

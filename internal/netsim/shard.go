@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/sim"
 )
@@ -237,21 +236,13 @@ func (nw *Network) ingestCrossMulticast(cf *CrossFrame) {
 			nw.drop(&f.scratch, "lost")
 			continue
 		}
-		f.entries = append(f.entries, fanEntry{at: nw.crossArrival(cf.SentAt), to: to, gen: nw.Node(to).gen})
+		f.entries = append(f.entries, fanEntry{at: nw.crossArrival(cf.SentAt), to: to, gen: nw.Node(to).gen,
+			ord: uint32(len(f.entries))})
 	}
 	if len(f.entries) == 0 {
 		nw.releaseFanout(f)
 		return
 	}
-	slices.SortStableFunc(f.entries, func(a, b fanEntry) int {
-		switch {
-		case a.at < b.at:
-			return -1
-		case a.at > b.at:
-			return 1
-		default:
-			return 0
-		}
-	})
+	sortFanout(f.entries)
 	nw.k.AtArg(f.entries[0].at, deliverFanout, f)
 }

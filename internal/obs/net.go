@@ -83,7 +83,8 @@ type ShardMetrics struct {
 	// CrossOut counts frames this shard handed to the coordinator.
 	CrossIn, CrossOut *Counter
 	// Events mirrors the shard kernel's fired-event count as of the last
-	// barrier; Pending its queue depth.
+	// barrier; Pending its queue depth, which counts live events only
+	// (canceled events leave the kernel's heap at once).
 	Events, Pending *Gauge
 }
 

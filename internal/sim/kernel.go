@@ -9,65 +9,75 @@ import (
 // so the caller can cancel it before it fires; timers that are renewed
 // (lease expirations, retransmissions) rely on this.
 //
+// Each event knows its kernel and its position in the kernel's heap, so
+// Cancel removes it from the queue at once: the heap holds live events
+// only, however often a timer is re-armed.
+//
 // # Ownership
 //
 // Events are pooled: the kernel recycles an Event as soon as it has fired
-// (or was popped after cancellation), and the same pointer will be handed
-// out again by a later At/After call. A *Event is therefore only valid
+// or been canceled, and the same pointer will be handed out again by a
+// later At/After call. A *Event is therefore only valid
 //   - while the event is pending, and
 //   - inside the event's own callback (the kernel recycles it only after
 //     the callback returns, so a callback may Cancel or inspect its own
 //     event, which is a no-op).
 //
-// Callers that retain timer events across firings (lease renewal,
-// retransmission schedules) must drop their reference when the event
-// fires — conventionally by setting the field to nil at the top of the
-// callback — and must never Cancel a stored event after its firing time
-// has passed. Cancel on a stale pointer would cancel whatever event
-// currently owns the pooled slot. sim.Ticker, sim.Deadline, core.Retry
-// and the netsim TCP machinery all follow this rule; use them instead of
-// raw events where possible.
+// A pointer is dead right after Cancel, and right after the event's
+// callback returns. Callers that retain timer events must drop their
+// reference at both points — conventionally by setting the field to nil
+// after Cancel and at the top of the callback. Cancel on a dead pointer
+// would cancel whatever event currently owns the pooled slot. sim.Ticker,
+// sim.Deadline, core.Retry and the netsim TCP machinery all follow this
+// rule; use them instead of raw events where possible.
 type Event struct {
 	at       Time
 	seq      uint64 // tie-breaker: same-time events fire in schedule order
 	fn       func()
 	argFn    func(any)
 	arg      any
+	k        *Kernel
+	idx      int32 // heap position while queued, -1 otherwise
 	canceled bool
-	next     *Event // free-list link while recycled
 }
 
 // At reports the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
-// Cancel prevents the event from firing. Canceling an event that has
-// already been canceled, or canceling from inside the event's own
-// callback, is a no-op, so callers may cancel unconditionally — but see
-// the ownership rule above: a pointer retained past the event's firing
-// must not be canceled.
+// Cancel prevents the event from firing: it leaves the heap and its slot
+// returns to the pool immediately. Canceling from inside the event's own
+// callback, or a nil event, is a no-op, so callers may cancel
+// unconditionally — but see the ownership rule above: the pointer is
+// dead once Cancel returns.
 func (e *Event) Cancel() {
-	if e != nil {
-		e.canceled = true
+	if e == nil {
+		return
+	}
+	e.canceled = true
+	if e.idx >= 0 {
+		e.k.remove(e)
 	}
 }
 
-// Canceled reports whether Cancel was called on the event.
+// Canceled reports whether Cancel was called on the event. The flag
+// survives until the pooled slot is handed out again.
 func (e *Event) Canceled() bool { return e != nil && e.canceled }
 
 // Kernel is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; the experiment harness runs many kernels in parallel, one
 // per goroutine, each fully owning its kernel.
 //
-// The event queue is a 4-ary min-heap of pooled events: fired and
-// canceled events go onto a free list and are reused by later schedule
-// calls, so steady-state scheduling allocates nothing. Cancellation is
-// lazy — a canceled event stays queued until its time comes and is then
-// discarded and recycled.
+// The event queue is an indexed 4-ary min-heap of pooled events. Fired
+// and canceled events go onto a free list and are reused by later
+// schedule calls, so steady-state scheduling allocates nothing. Cancel
+// removes an event from the middle of the heap in O(log n), and timers
+// move their queued event in place (reschedule), so the heap never holds
+// a dead event.
 type Kernel struct {
 	now     Time
 	seq     uint64
 	heap    []*Event
-	free    *Event
+	free    []*Event
 	src     splitmix64
 	rng     *rand.Rand
 	stopped bool
@@ -90,6 +100,7 @@ func New(seed int64) *Kernel {
 // are invalid after Reset.
 func (k *Kernel) Reset(seed int64) {
 	for _, e := range k.heap {
+		e.idx = -1
 		k.release(e)
 	}
 	k.heap = k.heap[:0]
@@ -120,12 +131,12 @@ func (k *Kernel) Fired() uint64 { return k.fired }
 // caller that retained a canceled event's pointer still reads
 // Canceled() == true until the slot is actually handed out again.
 func (k *Kernel) alloc() *Event {
-	e := k.free
-	if e == nil {
-		return &Event{}
+	n := len(k.free) - 1
+	if n < 0 {
+		return &Event{k: k, idx: -1}
 	}
-	k.free = e.next
-	e.next = nil
+	e := k.free[n]
+	k.free = k.free[:n]
 	e.canceled = false
 	return e
 }
@@ -137,8 +148,7 @@ func (k *Kernel) release(e *Event) {
 	e.fn = nil
 	e.argFn = nil
 	e.arg = nil
-	e.next = k.free
-	k.free = e
+	k.free = append(k.free, e)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (or at
@@ -163,15 +173,35 @@ func (k *Kernel) AtArg(t Time, fn func(any), arg any) *Event {
 }
 
 func (k *Kernel) schedule(t Time) *Event {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
-	}
+	k.checkFuture(t)
 	e := k.alloc()
 	e.at = t
 	e.seq = k.seq
 	k.seq++
 	k.push(e)
 	return e
+}
+
+// reschedule moves a queued event to time t in place. It takes the next
+// sequence number exactly as Cancel followed by a fresh schedule would,
+// so the (time, seq) firing order — and with it every run — is the same
+// either way; only the pool churn and the heap slot are saved. Ticker
+// and Deadline re-arm through it.
+func (k *Kernel) reschedule(e *Event, t Time) {
+	if e.idx < 0 {
+		panic("sim: rescheduling an event that is not pending")
+	}
+	k.checkFuture(t)
+	e.at = t
+	e.seq = k.seq
+	k.seq++
+	k.fix(int(e.idx), e)
+}
+
+func (k *Kernel) checkFuture(t Time) {
+	if t < k.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
+	}
 }
 
 // After schedules fn to run d from now. Negative d panics.
@@ -261,52 +291,31 @@ func (k *Kernel) RunWindow(target Time) (next Time, ok bool) {
 
 // Step executes the single next pending event, advancing the clock to
 // its time (or holding the clock if the event is overdue — see Run's
-// re-entrancy invariant). It reports whether an event fired; false
-// means the queue held nothing but canceled events, which it discards.
+// re-entrancy invariant). It reports whether an event fired, false
+// meaning the queue was empty.
 func (k *Kernel) Step() bool {
-	for len(k.heap) > 0 {
-		e := k.heap[0]
-		k.pop()
-		if e.canceled {
-			k.release(e)
-			continue
-		}
-		k.fire(e)
-		return true
+	if len(k.heap) == 0 {
+		return false
 	}
-	return false
+	k.fire(k.pop())
+	return true
 }
 
-// NextEventTime reports the virtual time of the earliest pending
-// non-canceled event. Canceled heap heads are discarded on the way, so
-// the answer is exact, not an upper bound. The live driver uses it to
-// compute how long the event loop may sleep on the wall clock.
+// NextEventTime reports the virtual time of the earliest pending event.
+// The live driver uses it to compute how long the event loop may sleep
+// on the wall clock.
 func (k *Kernel) NextEventTime() (Time, bool) {
-	for len(k.heap) > 0 {
-		e := k.heap[0]
-		if !e.canceled {
-			return e.at, true
-		}
-		k.pop()
-		k.release(e)
+	if len(k.heap) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return k.heap[0].at, true
 }
 
 // drainTo fires events with at <= limit in (time, seq) order until the
 // heap drains, the limit is reached, or Stop is called.
 func (k *Kernel) drainTo(limit Time) {
-	for len(k.heap) > 0 && !k.stopped {
-		e := k.heap[0]
-		if e.at > limit {
-			break
-		}
-		k.pop()
-		if e.canceled {
-			k.release(e)
-			continue
-		}
-		k.fire(e)
+	for len(k.heap) > 0 && !k.stopped && k.heap[0].at <= limit {
+		k.fire(k.pop())
 	}
 }
 
@@ -326,8 +335,8 @@ func (k *Kernel) fire(e *Event) {
 	k.release(e)
 }
 
-// Pending reports the number of queued events, including canceled events
-// that have not yet been discarded.
+// Pending reports the number of queued events. Canceled events leave the
+// heap at once, so this is the number of live events.
 func (k *Kernel) Pending() int { return len(k.heap) }
 
 // eventLess orders events by (time, seq): schedule order breaks ties, so
@@ -339,58 +348,94 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// push inserts an event into the 4-ary min-heap. A 4-ary heap halves the
-// tree depth of the binary heap and keeps the four children of a node on
-// one cache line's worth of pointers, which measures faster on the
-// simulator's churn of push/pop pairs; it needs no per-event index
-// because lazy cancellation never removes from the middle.
+// The event queue is a 4-ary min-heap. A 4-ary heap halves the tree depth
+// of the binary heap and keeps the four children of a node on one cache
+// line's worth of pointers, which measures faster on the simulator's
+// churn of push/pop pairs. Every move through the heap records the
+// event's new position in Event.idx, which is what lets Cancel and
+// reschedule work on an event in the middle of the heap.
+
+// push inserts an event into the heap.
 func (k *Kernel) push(e *Event) {
-	h := append(k.heap, e)
-	i := len(h) - 1
+	k.heap = append(k.heap, e)
+	k.up(len(k.heap)-1, e)
+}
+
+// pop removes and returns the minimum event.
+func (k *Kernel) pop() *Event {
+	e := k.heap[0]
+	k.removeAt(0)
+	return e
+}
+
+// remove takes a canceled event out of the heap and recycles its slot.
+func (k *Kernel) remove(e *Event) {
+	k.removeAt(int(e.idx))
+	k.release(e)
+}
+
+// removeAt unlinks the event at heap position i: the last event fills the
+// hole and is sifted to its place.
+func (k *Kernel) removeAt(i int) {
+	h := k.heap
+	h[i].idx = -1
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	k.heap = h[:n]
+	if i < n {
+		k.fix(i, last)
+	}
+}
+
+// fix places e into the hole at position i, sifting it up or down.
+func (k *Kernel) fix(i int, e *Event) {
+	if i > 0 && eventLess(e, k.heap[(i-1)>>2]) {
+		k.up(i, e)
+	} else {
+		k.down(i, e)
+	}
+}
+
+// up sifts e from the hole at position i towards the root.
+func (k *Kernel) up(i int, e *Event) {
+	h := k.heap
 	for i > 0 {
 		p := (i - 1) >> 2
 		if !eventLess(e, h[p]) {
 			break
 		}
 		h[i] = h[p]
+		h[i].idx = int32(i)
 		i = p
 	}
 	h[i] = e
-	k.heap = h
+	e.idx = int32(i)
 }
 
-// pop removes the minimum event (the caller has already read heap[0]).
-func (k *Kernel) pop() {
+// down sifts e from the hole at position i towards the leaves.
+func (k *Kernel) down(i int, e *Event) {
 	h := k.heap
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	h = h[:n]
-	k.heap = h
-	if n == 0 {
-		return
-	}
-	i := 0
+	n := len(h)
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
+		end := min(c+4, n)
 		for j := c + 1; j < end; j++ {
 			if eventLess(h[j], h[m]) {
 				m = j
 			}
 		}
-		if !eventLess(h[m], last) {
+		if !eventLess(h[m], e) {
 			break
 		}
 		h[i] = h[m]
+		h[i].idx = int32(i)
 		i = m
 	}
-	h[i] = last
+	h[i] = e
+	e.idx = int32(i)
 }

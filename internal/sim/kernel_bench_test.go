@@ -53,3 +53,27 @@ func BenchmarkKernelChurn(b *testing.B) {
 	}
 	b.ReportMetric(batch, "events/op")
 }
+
+// BenchmarkDeadlineRearm measures lease renewal: 1024 armed deadlines,
+// each pushed forward once per op, the way every FRODO node re-arms its
+// Central lease on each announce. The queued event moves in place, so
+// the heap holds exactly the 1024 live expiries (pending/op) and steady
+// state allocates nothing.
+func BenchmarkDeadlineRearm(b *testing.B) {
+	const deadlines = 1024
+	k := New(1)
+	ds := make([]*Deadline, deadlines)
+	for i := range ds {
+		ds[i] = NewDeadline(k, func() {})
+		ds[i].SetAfter(k.UniformDuration(Second, 2*Second))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, d := range ds {
+			d.SetAfter(k.UniformDuration(Second, 2*Second))
+		}
+		k.RunUntil(k.Now() + Millisecond)
+	}
+	b.ReportMetric(float64(k.Pending()), "pending/op")
+}

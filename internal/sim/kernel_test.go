@@ -249,14 +249,14 @@ func TestKernelEventPoolRecycles(t *testing.T) {
 	if e1 != e2 {
 		t.Error("fired event was not recycled by the next schedule")
 	}
-	// A canceled event is recycled once popped.
+	// A canceled event is recycled at once.
 	e2.Cancel()
 	k.Run(4 * Second)
 	if !e2.Canceled() {
 		t.Error("canceled flag lost before slot reuse")
 	}
 	if e3 := k.After(Second, fn); e3 != e2 {
-		t.Error("canceled+popped event was not recycled")
+		t.Error("canceled event was not recycled")
 	} else if e3.Canceled() {
 		t.Error("recycled event still marked canceled")
 	}
@@ -417,3 +417,369 @@ func TestRunReenterableAfterStop(t *testing.T) {
 	}
 }
 
+// --- equivalence with a lazily-canceling reference -------------------
+
+// Labels name what fired: raw events count up from 0; deadline d fires
+// dlLabel+d and ticker i fires tkLabel+i.
+const (
+	dlLabel = 1 << 20
+	tkLabel = 2 << 20
+	nTimers = 4
+)
+
+// scheduler is the surface the random program drives: the real kernel
+// and its timers, or the reference.
+type scheduler interface {
+	now() Time
+	at(t Time, label int, withArg bool)
+	cancel(label int)
+	setDeadline(d int, t Time)
+	clearDeadline(d int)
+	startTicker(i int, delay Duration)
+	stopTicker(i int)
+	step() bool
+	runUntil(t Time)
+	next() (Time, bool)
+	reset(seed int64)
+	pending() int
+	fired() uint64
+}
+
+// kernelSched drives a Kernel with raw events, Deadlines and Tickers.
+type kernelSched struct {
+	k      *Kernel
+	ev     map[int]*Event
+	dl     []*Deadline
+	tk     []*Ticker
+	onFire func(int)
+}
+
+func newKernelSched(onFire func(int)) *kernelSched {
+	s := &kernelSched{k: New(1), ev: map[int]*Event{}, onFire: onFire}
+	for i := 0; i < nTimers; i++ {
+		d, tk := dlLabel+i, tkLabel+i
+		s.dl = append(s.dl, NewDeadline(s.k, func() { onFire(d) }))
+		s.tk = append(s.tk, NewTicker(s.k, Duration(i+1)*Second, func() { onFire(tk) }))
+	}
+	return s
+}
+
+func (s *kernelSched) now() Time { return s.k.Now() }
+
+// at keeps the raw event's pointer under its label; the program cancels
+// a label only while it is pending, right after canceling it (a double
+// cancel), or from inside its own callback, so the pointer is never used
+// once dead.
+func (s *kernelSched) at(t Time, label int, withArg bool) {
+	if withArg {
+		s.ev[label] = s.k.AtArg(t, func(x any) { s.onFire(x.(int)) }, label)
+	} else {
+		s.ev[label] = s.k.At(t, func() { s.onFire(label) })
+	}
+}
+
+func (s *kernelSched) cancel(label int)              { s.ev[label].Cancel() }
+func (s *kernelSched) setDeadline(d int, t Time)     { s.dl[d].Set(t) }
+func (s *kernelSched) clearDeadline(d int)           { s.dl[d].Clear() }
+func (s *kernelSched) startTicker(i int, d Duration) { s.tk[i].Start(d) }
+func (s *kernelSched) stopTicker(i int)              { s.tk[i].Stop() }
+func (s *kernelSched) step() bool                    { return s.k.Step() }
+func (s *kernelSched) runUntil(t Time)               { s.k.RunUntil(t) }
+func (s *kernelSched) next() (Time, bool)            { return s.k.NextEventTime() }
+func (s *kernelSched) pending() int                  { return s.k.Pending() }
+func (s *kernelSched) fired() uint64                 { return s.k.Fired() }
+func (s *kernelSched) reset(seed int64) {
+	s.k.Reset(seed)
+	clear(s.ev)
+	for i := range s.dl {
+		s.dl[i].Rearm()
+		s.tk[i].Rearm()
+	}
+}
+
+// refEntry is one event of the reference scheduler.
+type refEntry struct {
+	at       Time
+	seq      uint64
+	label    int
+	canceled bool
+}
+
+// refSched is the reference the indexed heap is checked against: an
+// unordered slice scanned for the (time, seq) minimum, with lazy
+// cancellation — a canceled entry stays queued and is discarded when
+// its turn comes. Deadlines and tickers are cancel-plus-schedule.
+type refSched struct {
+	t      Time
+	seq    uint64
+	q      []*refEntry
+	nFired uint64
+	ev     map[int]*refEntry
+	dl, tk [nTimers]*refEntry
+	onFire func(int)
+}
+
+func (r *refSched) now() Time { return r.t }
+
+func (r *refSched) schedule(t Time, label int) *refEntry {
+	if t < r.t {
+		panic("reference: scheduling in the past")
+	}
+	e := &refEntry{at: t, seq: r.seq, label: label}
+	r.seq++
+	r.q = append(r.q, e)
+	return e
+}
+
+func (r *refSched) at(t Time, label int, _ bool) { r.ev[label] = r.schedule(t, label) }
+func (r *refSched) cancel(label int)             { r.ev[label].canceled = true }
+
+func (r *refSched) setDeadline(d int, t Time) {
+	if r.dl[d] != nil {
+		r.dl[d].canceled = true
+	}
+	r.dl[d] = r.schedule(t, dlLabel+d)
+}
+
+func (r *refSched) clearDeadline(d int) {
+	if r.dl[d] != nil {
+		r.dl[d].canceled = true
+		r.dl[d] = nil
+	}
+}
+
+func (r *refSched) startTicker(i int, delay Duration) {
+	r.stopTicker(i)
+	r.tk[i] = r.schedule(r.t+delay, tkLabel+i)
+}
+
+func (r *refSched) stopTicker(i int) {
+	if r.tk[i] != nil {
+		r.tk[i].canceled = true
+		r.tk[i] = nil
+	}
+}
+
+// head discards canceled entries at the front of the (time, seq) order
+// and returns the position of the earliest live one, or -1.
+func (r *refSched) head() int {
+	for {
+		m := -1
+		for i, e := range r.q {
+			if m < 0 || e.at < r.q[m].at || (e.at == r.q[m].at && e.seq < r.q[m].seq) {
+				m = i
+			}
+		}
+		if m < 0 || !r.q[m].canceled {
+			return m
+		}
+		r.q = slices.Delete(r.q, m, m+1)
+	}
+}
+
+func (r *refSched) step() bool {
+	m := r.head()
+	if m < 0 {
+		return false
+	}
+	e := r.q[m]
+	r.q = slices.Delete(r.q, m, m+1)
+	r.t = max(r.t, e.at)
+	r.nFired++
+	switch {
+	case e.label >= tkLabel:
+		i := e.label - tkLabel
+		r.tk[i] = r.schedule(r.t+Duration(i+1)*Second, e.label)
+	case e.label >= dlLabel:
+		r.dl[e.label-dlLabel] = nil
+	}
+	r.onFire(e.label)
+	return true
+}
+
+func (r *refSched) runUntil(t Time) {
+	for m := r.head(); m >= 0 && r.q[m].at <= t; m = r.head() {
+		r.step()
+	}
+	r.t = max(r.t, t)
+}
+
+func (r *refSched) next() (Time, bool) {
+	if m := r.head(); m >= 0 {
+		return r.q[m].at, true
+	}
+	return 0, false
+}
+
+func (r *refSched) pending() int {
+	n := 0
+	for _, e := range r.q {
+		if !e.canceled {
+			n++
+		}
+	}
+	return n
+}
+
+func (r *refSched) fired() uint64 { return r.nFired }
+
+func (r *refSched) reset(int64) {
+	*r = refSched{ev: map[int]*refEntry{}, onFire: r.onFire}
+}
+
+// program is a seeded random interleaving of scheduling calls, including
+// calls made from inside firing callbacks. It keeps its own count of the
+// live events, and logs every firing as (instant, label).
+type program struct {
+	s       scheduler
+	rng     *rand.Rand
+	nextRaw int
+	live    []int       // pending raw labels
+	pos     map[int]int // label -> index in live
+	armed   [nTimers]bool
+	running [nTimers]bool
+	log     [][2]int64
+}
+
+func (p *program) expectPending() int {
+	n := len(p.live)
+	for i := 0; i < nTimers; i++ {
+		if p.armed[i] {
+			n++
+		}
+		if p.running[i] {
+			n++
+		}
+	}
+	return n
+}
+
+func (p *program) forget(label int) {
+	i, ok := p.pos[label]
+	if !ok {
+		return
+	}
+	last := p.live[len(p.live)-1]
+	p.live[i] = last
+	p.pos[last] = i
+	p.live = p.live[:len(p.live)-1]
+	delete(p.pos, label)
+}
+
+// fire is every event's callback: log it, then maybe cancel the firing
+// event itself (a no-op) and maybe schedule, cancel or re-arm more.
+func (p *program) fire(label int) {
+	p.log = append(p.log, [2]int64{int64(p.s.now()), int64(label)})
+	switch {
+	case label >= tkLabel:
+		if p.rng.Intn(5) == 0 {
+			p.s.stopTicker(label - tkLabel)
+			p.running[label-tkLabel] = false
+		}
+	case label >= dlLabel:
+		p.armed[label-dlLabel] = false
+		if p.rng.Intn(5) == 0 {
+			p.s.clearDeadline(label - dlLabel)
+		}
+	default:
+		p.forget(label)
+		if p.rng.Intn(4) == 0 {
+			p.s.cancel(label)
+			p.s.cancel(label)
+		}
+	}
+	if p.rng.Intn(2) == 0 {
+		p.mutate()
+	}
+}
+
+// mutate performs one random scheduling call that is legal both at top
+// level and inside a callback.
+func (p *program) mutate() {
+	now := p.s.now()
+	i := p.rng.Intn(nTimers)
+	switch p.rng.Intn(8) {
+	case 0, 1, 2:
+		label := p.nextRaw
+		p.nextRaw++
+		p.s.at(now+Time(p.rng.Intn(4))*Second, label, p.rng.Intn(2) == 0)
+		p.pos[label] = len(p.live)
+		p.live = append(p.live, label)
+	case 3:
+		if len(p.live) == 0 {
+			return
+		}
+		label := p.live[p.rng.Intn(len(p.live))]
+		p.forget(label)
+		p.s.cancel(label)
+		if p.rng.Intn(3) == 0 {
+			p.s.cancel(label) // double cancel, nothing scheduled in between
+		}
+	case 4:
+		p.s.setDeadline(i, now+Time(p.rng.Intn(4))*Second)
+		p.armed[i] = true
+	case 5:
+		p.s.clearDeadline(i)
+		p.armed[i] = false
+	case 6:
+		p.s.startTicker(i, Duration(p.rng.Intn(3))*Second)
+		p.running[i] = true
+	case 7:
+		p.s.stopTicker(i)
+		p.running[i] = false
+	}
+}
+
+// op is one top-level step: a scheduling call, progress, or a Reset.
+func (p *program) op() {
+	switch r := p.rng.Intn(200); {
+	case r == 0:
+		p.s.reset(int64(p.rng.Intn(100)))
+		p.live, p.pos = p.live[:0], map[int]int{}
+		p.armed, p.running = [nTimers]bool{}, [nTimers]bool{}
+	case r < 60:
+		p.s.step()
+	case r < 80:
+		p.s.runUntil(p.s.now() + Time(p.rng.Intn(3))*Second)
+	default:
+		p.mutate()
+	}
+}
+
+// The indexed heap with eager removal and in-place re-arming must fire
+// exactly what a lazily-canceling (time, seq) scheduler fires, in the
+// same order, while Pending counts only live events.
+func TestKernelMatchesLazyCancelReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		pk := &program{rng: rand.New(rand.NewSource(seed)), pos: map[int]int{}}
+		pr := &program{rng: rand.New(rand.NewSource(seed)), pos: map[int]int{}}
+		pk.s = newKernelSched(pk.fire)
+		pr.s = &refSched{ev: map[int]*refEntry{}, onFire: pr.fire}
+		for step := 0; step < 3000; step++ {
+			pk.op()
+			pr.op()
+			if !slices.Equal(pk.log, pr.log) {
+				t.Fatalf("seed %d step %d: fire order diverged\nkernel    %v\nreference %v",
+					seed, step, tail(pk.log), tail(pr.log))
+			}
+			if pk.s.fired() != pr.s.fired() {
+				t.Fatalf("seed %d step %d: Fired %d, reference %d", seed, step, pk.s.fired(), pr.s.fired())
+			}
+			if got, ref, want := pk.s.pending(), pr.s.pending(), pk.expectPending(); got != want || ref != want {
+				t.Fatalf("seed %d step %d: Pending %d, reference %d live, program holds %d",
+					seed, step, got, ref, want)
+			}
+			kt, kok := pk.s.next()
+			rt, rok := pr.s.next()
+			if kt != rt || kok != rok || pk.s.now() != pr.s.now() {
+				t.Fatalf("seed %d step %d: next %v,%v now %v; reference next %v,%v now %v",
+					seed, step, kt, kok, pk.s.now(), rt, rok, pr.s.now())
+			}
+		}
+		if len(pk.log) < 1000 {
+			t.Fatalf("seed %d: only %d firings, the interleaving is too thin", seed, len(pk.log))
+		}
+	}
+}
+
+func tail(log [][2]int64) [][2]int64 { return log[max(0, len(log)-5):] }

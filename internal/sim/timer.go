@@ -6,13 +6,13 @@ package sim
 //
 // Scheduling goes through a static callback with the ticker itself as the
 // argument (AfterArg), so arming and re-arming never allocates a closure:
-// a ticker costs its construction and nothing per firing.
+// a ticker costs its construction and nothing per firing. Restarting a
+// running ticker moves its queued event in place.
 type Ticker struct {
 	k       *Kernel
 	period  Duration
 	fn      func()
-	pending *Event
-	running bool
+	pending *Event // nil exactly when the ticker is stopped
 }
 
 // NewTicker creates a stopped ticker; call Start to arm it.
@@ -30,26 +30,24 @@ func tickerFire(x any) { x.(*Ticker).tick() }
 // subsequent firings every period. Starting a running ticker re-arms it
 // from now.
 func (t *Ticker) Start(initialDelay Duration) {
-	t.pending.Cancel()
-	t.running = true
+	if t.pending != nil {
+		t.k.reschedule(t.pending, t.k.now+initialDelay)
+		return
+	}
 	t.pending = t.k.AfterArg(initialDelay, tickerFire, t)
 }
 
 func (t *Ticker) tick() {
-	if !t.running {
-		return
-	}
 	// Pooled-event ownership: the event that invoked us has fired and
 	// will be recycled; overwrite the reference before running fn so
-	// Stop/Start never cancel a recycled event. (A stopped ticker never
-	// reaches here — Stop cancels the pending event.)
+	// Stop/Start never touch a recycled event. (A stopped ticker never
+	// reaches here — Stop removes the pending event.)
 	t.pending = t.k.AfterArg(t.period, tickerFire, t)
 	t.fn()
 }
 
 // Stop disarms the ticker. A stopped ticker can be started again.
 func (t *Ticker) Stop() {
-	t.running = false
 	t.pending.Cancel()
 	t.pending = nil
 }
@@ -57,13 +55,10 @@ func (t *Ticker) Stop() {
 // Rearm resets the ticker for workspace reuse after a Kernel.Reset: the
 // retained event reference is dropped without touching the kernel (the
 // event no longer exists) and the ticker returns to its stopped state.
-func (t *Ticker) Rearm() {
-	t.running = false
-	t.pending = nil
-}
+func (t *Ticker) Rearm() { t.pending = nil }
 
 // Running reports whether the ticker is armed.
-func (t *Ticker) Running() bool { return t.running }
+func (t *Ticker) Running() bool { return t.pending != nil }
 
 // Period reports the ticker's firing interval.
 func (t *Ticker) Period() Duration { return t.period }
@@ -80,11 +75,12 @@ func (t *Ticker) SetPeriod(p Duration) {
 // Deadline is a single-shot timer that can be pushed into the future, which
 // is exactly the behaviour of a lease: each renewal replaces the expiry
 // event. Like Ticker, it schedules through a static callback, so arming a
-// deadline allocates nothing.
+// deadline allocates nothing, and a renewal moves the queued expiry event
+// in place.
 type Deadline struct {
 	k       *Kernel
 	fn      func()
-	pending *Event
+	pending *Event // nil exactly when the deadline is unarmed
 }
 
 // NewDeadline creates an unarmed deadline that runs fn when it expires.
@@ -97,7 +93,10 @@ func deadlineFire(x any) { x.(*Deadline).fire() }
 
 // Set arms (or re-arms) the deadline to fire at absolute time t.
 func (d *Deadline) Set(t Time) {
-	d.pending.Cancel()
+	if d.pending != nil {
+		d.k.reschedule(d.pending, t)
+		return
+	}
 	d.pending = d.k.AtArg(t, deadlineFire, d)
 }
 
@@ -115,7 +114,7 @@ func (d *Deadline) Clear() {
 func (d *Deadline) Rearm() { d.pending = nil }
 
 // Armed reports whether the deadline is set and has not fired.
-func (d *Deadline) Armed() bool { return d.pending != nil && !d.pending.Canceled() }
+func (d *Deadline) Armed() bool { return d.pending != nil }
 
 // When reports the expiry instant; valid only while Armed.
 func (d *Deadline) When() Time {
@@ -127,7 +126,7 @@ func (d *Deadline) When() Time {
 
 func (d *Deadline) fire() {
 	// Pooled-event ownership: drop the fired event before fn, so a
-	// Set/Clear from inside the callback never cancels a recycled event.
+	// Set/Clear from inside the callback never touches a recycled event.
 	d.pending = nil
 	d.fn()
 }
